@@ -209,9 +209,10 @@ func BenchmarkPathDiscovery(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
+			kernel := pathdisc.Compile(c.g)
 			var paths int
 			for i := 0; i < b.N; i++ {
-				ps, _, err := pathdisc.AllPaths(c.g, c.src, c.dst, pathdisc.Options{})
+				ps, _, err := kernel.AllPaths(c.src, c.dst, pathdisc.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -220,36 +221,6 @@ func BenchmarkPathDiscovery(b *testing.B) {
 			b.ReportMetric(float64(paths), "paths")
 		})
 	}
-}
-
-// BenchmarkDFSVariants is the algorithm ablation: recursive (the paper's
-// choice) vs iterative vs parallel DFS on the same dense graph.
-func BenchmarkDFSVariants(b *testing.B) {
-	g, err := topology.Mesh(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("recursive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pathdisc.AllPaths(g, "n0", "n7", pathdisc.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("iterative", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pathdisc.AllPathsIterative(g, "n0", "n7", pathdisc.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pathdisc.AllPathsParallel(g, "n0", "n7", pathdisc.Options{}, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkMergeSemantics is the merge ablation: induced (the paper's
@@ -274,7 +245,7 @@ func BenchmarkMergeSemantics(b *testing.B) {
 }
 
 // BenchmarkShortestAblation compares Definition 2 (all redundant paths)
-// against the shortest-path-only ablation.
+// against the shortest-path-only ablation (ranked discovery with K = 1).
 func BenchmarkShortestAblation(b *testing.B) {
 	_, svc, gen := mustBase(b)
 	mp := USITableIMapping()
@@ -287,7 +258,7 @@ func BenchmarkShortestAblation(b *testing.B) {
 	})
 	b.Run("shortest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := gen.Generate(svc, mp, benchName("bs"), Options{Algorithm: AlgoShortest}); err != nil {
+			if _, err := gen.Generate(svc, mp, benchName("bs"), Options{Paths: PathOptions{K: 1}}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -25,7 +25,7 @@ var (
 // (map/string sets) vs compiled (interned bitset kernel), best-of-reps
 // nanoseconds per run. Parity means the two sample sets are statistically
 // indistinguishable (two-sided Mann-Whitney U, alpha 0.05) and the speedup
-// is reported as exactly 1, the same convention expPathdisc uses.
+// is reported as exactly 1 (see stats.go).
 type dependFamily struct {
 	LegacyNs   int64   `json:"legacyNs"`
 	CompiledNs int64   `json:"compiledNs"`
@@ -99,7 +99,7 @@ func dependChain(atomics, width, tail int) (*depend.ServiceStructure, map[string
 
 // expDepend benchmarks the compiled dependability kernel against the legacy
 // map/string implementation across the §VII algorithm families, interleaved
-// and summarised by the best repetition (the expPathdisc methodology).
+// and summarised by the best repetition (the methodology in stats.go).
 func expDepend() error {
 	type workload struct {
 		name  string
@@ -160,7 +160,7 @@ func expDepend() error {
 		"structure", "comps", "words", "sets", "cuts", "IE x", "cuts x", "exact x", "MC x")
 
 	// One sample = collect the heap, one untimed warm-up, then `batch` timed
-	// runs averaged into a per-run figure (see expPathdisc for why single-shot
+	// runs averaged into a per-run figure (see stats.go for why single-shot
 	// timing of microsecond workloads is unsound).
 	timeIt := func(batch int, f func() error) (int64, error) {
 		runtime.GC()

@@ -110,7 +110,7 @@ func expKBest() error {
 	fmt.Printf("  GOMAXPROCS=%d, best of %d interleaved reps, >=%s/sample, hard limit %d paths\n",
 		b.GOMAXPROCS, b.Reps, window, hardLimit)
 
-	// The expPathdisc/expWarm methodology: one sample = GC + untimed warm-up
+	// The methodology of stats.go: one sample = GC + untimed warm-up
 	// + a calibrated batch of timed runs; variants interleave with
 	// alternating order; the best repetition represents each variant; rank
 	// testing decides whether a delta is signal at all.

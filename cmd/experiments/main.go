@@ -8,10 +8,10 @@
 //
 // Usage:
 //
-//	experiments [-exp all|f3|f6|f7|f8|f9|f10|t1|paths|f11|f12|context|avail|rbd|qos|importance|sensitivity|cloud|scaling|dynamicity|cache|pathdisc|depend|whatif|warm|kbest]
-//	            [-bench-out BENCH_cache.json] [-pathdisc-out BENCH_pathdisc.json]
-//	            [-depend-out BENCH_depend.json] [-whatif-out BENCH_whatif.json]
-//	            [-warm-out BENCH_warm.json] [-kbest-out BENCH_kbest.json] [-smoke]
+//	experiments [-exp all|f3|f6|f7|f8|f9|f10|t1|paths|f11|f12|context|avail|rbd|qos|importance|sensitivity|cloud|scaling|dynamicity|cache|depend|whatif|warm|kbest]
+//	            [-bench-out BENCH_cache.json] [-depend-out BENCH_depend.json]
+//	            [-whatif-out BENCH_whatif.json] [-warm-out BENCH_warm.json]
+//	            [-kbest-out BENCH_kbest.json] [-smoke]
 package main
 
 import (
@@ -34,9 +34,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (all, f3, f6, f7, f8, f9, f10, t1, paths, f11, f12, context, avail, rbd, qos, importance, sensitivity, cloud, scaling, dynamicity, cache, pathdisc, depend, whatif, warm, kbest)")
+	exp := flag.String("exp", "all", "experiment id (all, f3, f6, f7, f8, f9, f10, t1, paths, f11, f12, context, avail, rbd, qos, importance, sensitivity, cloud, scaling, dynamicity, cache, depend, whatif, warm, kbest)")
 	flag.StringVar(&benchOut, "bench-out", "BENCH_cache.json", "file for the cache experiment's JSON record (empty disables)")
-	flag.StringVar(&pathdiscOut, "pathdisc-out", "BENCH_pathdisc.json", "file for the pathdisc experiment's JSON record (empty disables)")
 	flag.StringVar(&dependOut, "depend-out", "BENCH_depend.json", "file for the depend experiment's JSON record (empty disables)")
 	flag.StringVar(&whatifOut, "whatif-out", "BENCH_whatif.json", "file for the whatif experiment's JSON record (empty disables)")
 	flag.StringVar(&warmOut, "warm-out", "BENCH_warm.json", "file for the warm experiment's JSON record (empty disables)")
@@ -77,7 +76,6 @@ func experimentsList() []experiment {
 		{"scaling", "Section V-D — path discovery scalability", expScaling},
 		{"dynamicity", "Section V-A3 — dynamicity scenarios", expDynamicity},
 		{"cache", "Extension — content-addressed cache & concurrent discovery", expCache},
-		{"pathdisc", "Extension — compiled CSR kernel vs map-based discovery", expPathdisc},
 		{"depend", "Extension — compiled dependability kernel vs map-based analysis", expDepend},
 		{"whatif", "Extension — live-topology patching vs cold recompilation", expWhatIf},
 		{"warm", "Extension — allocation-free warm path vs per-request cold build", expWarm},
@@ -662,8 +660,9 @@ func expScaling() error {
 	// exhaustive store. A generous cap keeps the harness bounded.
 	const pathCap = 500_000
 	for _, c := range cases {
+		kernel := pathdisc.Compile(c.g)
 		start := time.Now()
-		count, stats, err := pathdisc.CountPaths(c.g, c.src, c.dst, pathdisc.Options{MaxPaths: pathCap})
+		count, stats, err := kernel.CountPaths(c.src, c.dst, pathdisc.Options{MaxPaths: pathCap})
 		if err != nil {
 			return err
 		}

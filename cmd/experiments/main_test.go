@@ -84,8 +84,8 @@ func TestExperimentListComplete(t *testing.T) {
 		}
 		seen[e.id] = true
 	}
-	if len(seen) != 25 {
-		t.Errorf("experiments = %d, want 25", len(seen))
+	if len(seen) != 24 {
+		t.Errorf("experiments = %d, want 24", len(seen))
 	}
 }
 

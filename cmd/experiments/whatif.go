@@ -21,7 +21,7 @@ var whatifOut string
 // whatifFamily is one measured update path on one workload: patch (the
 // in-place delta application of DESIGN.md §13) vs recompile (rebuilding the
 // same compiled state from scratch), best-of-reps nanoseconds per delta.
-// Parity follows the expPathdisc convention: statistically
+// Parity follows the stats.go convention: statistically
 // indistinguishable sample sets (two-sided Mann-Whitney U, alpha 0.05)
 // report a speedup of exactly 1.
 type whatifFamily struct {
@@ -236,7 +236,7 @@ func expWhatIf() error {
 	fmt.Printf("  %-14s %6s %6s %6s %6s %9s %9s %9s\n",
 		"topology", "nodes", "edges", "sets", "comps", "csr x", "kernel x", "delta x")
 
-	// The expDepend/expPathdisc methodology: one sample = GC + untimed
+	// The methodology of stats.go: one sample = GC + untimed
 	// warm-up + a calibrated batch of timed runs; variants interleave with
 	// alternating order; the best repetition represents each variant; rank
 	// testing decides whether a delta is signal at all.

@@ -285,9 +285,8 @@ func cmdPaths(args []string) error {
 		printTrace()
 		return nil
 	}
-	g := gen.Graph()
 	_, disc := upsim.StartSpan(ctx, "step7.pathdisc")
-	paths, stats, err := upsim.AllPaths(g, *from, *to,
+	paths, stats, err := gen.Compiled().AllPaths(*from, *to,
 		upsim.PathOptions{MaxDepth: *maxDepth, MaxPaths: *maxPaths})
 	disc.SetAttr("paths", stats.Paths)
 	disc.SetAttr("edge_visits", stats.EdgeVisits)

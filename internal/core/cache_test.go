@@ -89,7 +89,7 @@ func TestCacheKeyDerivation(t *testing.T) {
 		t.Error("identical request derived different keys")
 	}
 	// Pool sizes tune parallelism only — they must not change the address.
-	pooled, err := g.CacheKey(f.svc, f.mp, "u", Options{DiscoveryWorkers: 7, Workers: 3})
+	pooled, err := g.CacheKey(f.svc, f.mp, "u", Options{DiscoveryWorkers: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +98,11 @@ func TestCacheKeyDerivation(t *testing.T) {
 	}
 	// Everything that changes the produced Result must change the key.
 	variants := map[string]Options{
-		"algorithm": {Algorithm: AlgoShortest},
-		"merge":     {Merge: MergeTraversed},
-		"depth":     {Paths: pathdisc.Options{MaxDepth: 3}},
-		"disc":      {AllowDisconnected: true},
-		"lint":      {Lint: LintWarn},
+		"ranked": {Paths: pathdisc.Options{K: 1}},
+		"merge":  {Merge: MergeTraversed},
+		"depth":  {Paths: pathdisc.Options{MaxDepth: 3}},
+		"disc":   {AllowDisconnected: true},
+		"lint":   {Lint: LintWarn},
 	}
 	seen := map[string]string{base: "base"}
 	for label, opts := range variants {

@@ -80,21 +80,17 @@ func (g *Generator) CacheKey(svc *service.Composite, mp *mapping.Mapping, name s
 	if err := mp.Encode(h); err != nil {
 		return "", fmt.Errorf("core: cache key: encoding mapping: %w", err)
 	}
-	// Workers and DiscoveryWorkers are deliberately excluded: they tune
-	// parallelism only, never the produced Result (the DFS variants are
-	// output-identical and the discovery loop preserves execution order),
-	// so requests differing only in pool sizes share one entry. LegacyKernel
-	// IS included: both kernels return the same path sets, but the compiled
-	// kernel prunes unreachable expansions, so the search-effort Stats (and
-	// therefore the Result) differ between them.
+	// DiscoveryWorkers is deliberately excluded: it tunes parallelism only,
+	// never the produced Result (the discovery loop preserves execution
+	// order), so requests differing only in pool size share one entry.
 	// K, CostMetric and MaxWork all change the produced path set (ranked
 	// top-k under a metric vs full enumeration; the work budget decides
 	// whether the request errors), so they key the cache like the other
 	// path options.
-	fmt.Fprintf(h, "\nopts=%s/%s paths={d=%d p=%d c=%t k=%d cost=%s work=%d} disc=%t lint=%s legacy=%t\n",
-		opts.Algorithm, opts.Merge,
+	fmt.Fprintf(h, "\nopts=%s paths={d=%d p=%d c=%t k=%d cost=%s work=%d} disc=%t lint=%s\n",
+		opts.Merge,
 		opts.Paths.MaxDepth, opts.Paths.MaxPaths, opts.Paths.CollapseParallel,
 		opts.Paths.K, opts.Paths.CostMetric, opts.Paths.MaxWork,
-		opts.AllowDisconnected, opts.Lint, opts.LegacyKernel)
+		opts.AllowDisconnected, opts.Lint)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -33,38 +33,6 @@ import (
 	"upsim/internal/vpm"
 )
 
-// Algorithm selects the path-discovery variant for Step 7.
-type Algorithm uint8
-
-const (
-	// AlgoRecursive is the paper's recursive DFS with path tracking.
-	AlgoRecursive Algorithm = iota
-	// AlgoIterative is the explicit-stack DFS (identical output).
-	AlgoIterative
-	// AlgoParallel partitions the search over the requester's first hops
-	// across a worker pool (identical output).
-	AlgoParallel
-	// AlgoShortest keeps only one minimum-hop path per atomic service. It
-	// deliberately violates Definition 2 (all redundant paths) and exists
-	// for the redundancy ablation.
-	AlgoShortest
-)
-
-// String returns the algorithm name.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgoRecursive:
-		return "recursive-dfs"
-	case AlgoIterative:
-		return "iterative-dfs"
-	case AlgoParallel:
-		return "parallel-dfs"
-	case AlgoShortest:
-		return "shortest-path"
-	}
-	return fmt.Sprintf("Algorithm(%d)", uint8(a))
-}
-
 // MergeSemantics selects how discovered paths become the UPSIM topology.
 type MergeSemantics uint8
 
@@ -121,23 +89,22 @@ func (m LintMode) String() string {
 }
 
 // Options tunes the generator. The zero value reproduces the paper: DFS all
-// simple paths (AlgoRecursive), induced merge (MergeInduced), unbounded
-// enumeration, disconnected pairs are errors, and no lint gate (LintOff).
-// Every default below is asserted by TestOptionsZeroValueDefaults.
+// simple paths on the compiled kernel, induced merge (MergeInduced),
+// unbounded enumeration, disconnected pairs are errors, and no lint gate
+// (LintOff). Every default below is asserted by
+// TestOptionsZeroValueDefaults.
 type Options struct {
-	// Algorithm selects the Step 7 path-discovery variant. The zero value
-	// AlgoRecursive is the paper's recursive DFS with path tracking.
-	Algorithm Algorithm
 	// Merge selects the Step 8 merge semantics. The zero value MergeInduced
 	// is the paper's Section VI-H filter (keep every infrastructure link
 	// whose both endpoints appear in some path).
 	Merge MergeSemantics
-	// Paths tunes the enumeration (depth/count bounds, parallel-edge
-	// collapsing). The zero value enumerates unbounded, without collapsing.
+	// Paths tunes Step 7 (depth/count bounds, parallel-edge collapsing).
+	// The zero value enumerates every simple path, unbounded, without
+	// collapsing. Paths.K > 0 switches to ranked discovery: the K cheapest
+	// paths under Paths.CostMetric. K = 1 is the redundancy ablation — one
+	// minimum-cost path per atomic service, deliberately violating
+	// Definition 2 (all redundant paths).
 	Paths pathdisc.Options
-	// Workers sets the pool size for AlgoParallel (0, the default, spawns
-	// one worker per first-hop branch of the requester).
-	Workers int
 	// DiscoveryWorkers bounds the worker pool that runs the per-atomic-
 	// service discovery loop of Step 7 concurrently. 0 (the default) sizes
 	// the pool to min(GOMAXPROCS, number of atomic services); 1 forces the
@@ -153,12 +120,6 @@ type Options struct {
 	// linting entirely, matching the paper's pipeline; LintWarn logs
 	// findings, LintFail aborts on error-severity findings.
 	Lint LintMode
-	// LegacyKernel routes Step 7 through the original map-based discovery
-	// functions instead of the compiled CSR kernel (pathdisc.Compile). The
-	// zero value (false) uses the compiled kernel, which returns the exact
-	// same path sets but prunes unreachable expansions, so its search-effort
-	// Stats are lower. AlgoShortest always uses the legacy implementation.
-	LegacyKernel bool
 }
 
 // discoveryWorkers resolves the effective Step 7 pool size for n atomic
@@ -207,7 +168,7 @@ type Result struct {
 	// EdgeVisits aggregates the search effort of Step 7.
 	EdgeVisits int
 	// Pruned aggregates the expansions the compiled kernel's reachability
-	// pass skipped in Step 7 (always 0 with Options.LegacyKernel).
+	// pass skipped in Step 7.
 	Pruned int
 }
 
@@ -341,8 +302,8 @@ func (g *Generator) Graph() *topology.Graph { return g.graph }
 // Compiled returns the CSR path-discovery kernel compiled from the
 // infrastructure graph at construction time. It is immutable and safe for
 // concurrent use; callers that enumerate paths outside the pipeline (the
-// HTTP /paths endpoint, tooling) should prefer it over the map-based
-// pathdisc functions to amortise compilation.
+// HTTP /paths endpoint, tooling) should use it rather than compile the
+// graph again.
 func (g *Generator) Compiled() *pathdisc.Compiled { return g.compiled }
 
 // Model returns the source UML model.
@@ -447,7 +408,11 @@ func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *ma
 	// loop's, whatever the pool size.
 	ctx7, span7 := obs.StartSpan(ctx, "step7.pathdisc")
 	defer span7.End()
-	span7.SetAttr("algorithm", opts.Algorithm.String())
+	if opts.Paths.K > 0 {
+		span7.SetAttr("algorithm", "csr-kbest")
+	} else {
+		span7.SetAttr("algorithm", "csr-dfs")
+	}
 	pairs, err := svc.RelevantPairs(mp)
 	if err != nil {
 		return nil, err
@@ -592,42 +557,14 @@ func (g *Generator) lintGate(ctx context.Context, svc *service.Composite, mp *ma
 	return nil
 }
 
+// discover runs Step 7 for one pair: ranked discovery when Paths.K > 0 —
+// the K cheapest paths under the stereotype cost view, with a bounded work
+// envelope instead of an exponential sweep — else full enumeration.
 func (g *Generator) discover(req, prov string, opts Options) ([]pathdisc.Path, pathdisc.Stats, error) {
 	if opts.Paths.K > 0 {
-		// Ranked discovery: the K cheapest paths under the stereotype cost
-		// view replace the full enumeration — Step 7 with a bounded work
-		// envelope instead of an exponential sweep. Ranked mode lives only
-		// on the compiled kernel; LegacyKernel has no ranked counterpart.
 		return g.compiled.KShortest(req, prov, opts.Paths)
 	}
-	if !opts.LegacyKernel {
-		switch opts.Algorithm {
-		case AlgoRecursive:
-			return g.compiled.AllPaths(req, prov, opts.Paths)
-		case AlgoIterative:
-			return g.compiled.AllPathsIterative(req, prov, opts.Paths)
-		case AlgoParallel:
-			return g.compiled.AllPathsParallel(req, prov, opts.Paths, opts.Workers)
-		}
-		// AlgoShortest (and unknown values) fall through to the legacy switch.
-	}
-	switch opts.Algorithm {
-	case AlgoRecursive:
-		return pathdisc.AllPaths(g.graph, req, prov, opts.Paths)
-	case AlgoIterative:
-		return pathdisc.AllPathsIterative(g.graph, req, prov, opts.Paths)
-	case AlgoParallel:
-		return pathdisc.AllPathsParallel(g.graph, req, prov, opts.Paths, opts.Workers)
-	case AlgoShortest:
-		p, err := pathdisc.ShortestPath(g.graph, req, prov)
-		if err != nil {
-			// Unreachable providers surface as zero paths, consistent with
-			// the DFS variants.
-			return nil, pathdisc.Stats{}, nil
-		}
-		return []pathdisc.Path{p}, pathdisc.Stats{Paths: 1, EdgeVisits: p.Len(), NodeVisits: len(p.Nodes)}, nil
-	}
-	return nil, pathdisc.Stats{}, fmt.Errorf("unknown algorithm %v", opts.Algorithm)
+	return g.compiled.AllPaths(req, prov, opts.Paths)
 }
 
 // storePaths materialises paths under paths.<name>.<atomic service>.p<i>,

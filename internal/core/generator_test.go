@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -267,35 +268,28 @@ func TestGenerateDisconnected(t *testing.T) {
 	}
 }
 
+// TestGenerateAlgorithmsAgree pins Step 7's two search modes against each
+// other: ranked discovery with K above the number of simple paths returns
+// exactly the full enumeration's path set, so both build the same UPSIM.
 func TestGenerateAlgorithmsAgree(t *testing.T) {
 	f := buildFixture(t)
 	g, _ := NewGenerator(f.model, "infrastructure")
-	base, err := g.Generate(f.svc, f.mp, "a-rec", Options{Algorithm: AlgoRecursive})
+	base, err := g.Generate(f.svc, f.mp, "a-all", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	iter, err := g.Generate(f.svc, f.mp, "a-iter", Options{Algorithm: AlgoIterative})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := g.Generate(f.svc, f.mp, "a-par", Options{Algorithm: AlgoParallel, Workers: 3})
+	ranked, err := g.Generate(f.svc, f.mp, "a-ranked", Options{Paths: pathdisc.Options{K: 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range base.Services {
-		if !pathdisc.Equal(base.Services[i].Paths, iter.Services[i].Paths) {
-			t.Errorf("service %d: iterative differs", i)
-		}
-		if !pathdisc.Equal(base.Services[i].Paths, par.Services[i].Paths) {
-			t.Errorf("service %d: parallel differs", i)
+		if !pathdisc.Equal(base.Services[i].Paths, ranked.Services[i].Paths) {
+			t.Errorf("service %d: ranked discovery differs from full enumeration", i)
 		}
 	}
-	// Same UPSIM node set in all variants.
-	b, i, p := base.NodeNames(), iter.NodeNames(), par.NodeNames()
-	for k := range b {
-		if b[k] != i[k] || b[k] != p[k] {
-			t.Fatalf("node sets differ: %v / %v / %v", b, i, p)
-		}
+	b, r := base.NodeNames(), ranked.NodeNames()
+	if strings.Join(b, ",") != strings.Join(r, ",") {
+		t.Fatalf("node sets differ: %v / %v", b, r)
 	}
 }
 
@@ -306,7 +300,8 @@ func TestGenerateShortestAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := g.Generate(f.svc, f.mp, "short", Options{Algorithm: AlgoShortest, Merge: MergeTraversed})
+	// K = 1 keeps one minimum-hop path per atomic service.
+	short, err := g.Generate(f.svc, f.mp, "short", Options{Paths: pathdisc.Options{K: 1}, Merge: MergeTraversed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,17 +378,38 @@ func TestGeneratorErrors(t *testing.T) {
 	}
 }
 
+// TestAlgorithmAndMergeStrings pins the names the generator reports: the
+// step7.pathdisc span's algorithm attribute (the search mode, matching the
+// upsim_pathdisc_* metric labels) and the merge semantics.
 func TestAlgorithmAndMergeStrings(t *testing.T) {
-	for algo, want := range map[Algorithm]string{
-		AlgoRecursive: "recursive-dfs", AlgoIterative: "iterative-dfs",
-		AlgoParallel: "parallel-dfs", AlgoShortest: "shortest-path",
+	f := buildFixture(t)
+	g, _ := NewGenerator(f.model, "infrastructure")
+	for i, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{}, "csr-dfs"},
+		{Options{Paths: pathdisc.Options{K: 2}}, "csr-kbest"},
 	} {
-		if algo.String() != want {
-			t.Errorf("%d.String() = %q", algo, algo.String())
+		ctx, root := obs.StartSpan(context.Background(), "generate")
+		if _, err := g.GenerateContext(ctx, f.svc, f.mp, fmt.Sprintf("algo-%d", i), tc.opts); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !strings.Contains(Algorithm(9).String(), "Algorithm(") {
-		t.Error("unknown algorithm fallback")
+		root.End()
+		var got any
+		root.Walk(func(sp *obs.Span, _ int) {
+			if sp.Name() != "step7.pathdisc" {
+				return
+			}
+			for _, a := range sp.Attrs() {
+				if a.Key == "algorithm" {
+					got = a.Value
+				}
+			}
+		})
+		if got != tc.want {
+			t.Errorf("opts %+v: step7 algorithm = %v, want %q", tc.opts, got, tc.want)
+		}
 	}
 	if MergeInduced.String() != "induced" || MergeTraversed.String() != "traversed" {
 		t.Error("merge semantics names wrong")

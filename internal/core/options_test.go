@@ -8,18 +8,12 @@ import (
 )
 
 // TestOptionsZeroValueDefaults pins the documented zero-value semantics of
-// Options: the zero value selects the paper's pipeline — recursive DFS,
-// induced-subgraph merge, unbounded discovery, automatic pool sizing,
+// Options: the zero value selects the paper's pipeline — DFS over all
+// simple paths, induced-subgraph merge, unbounded discovery, automatic pool sizing,
 // linting off, disconnected pairs rejected. The Options doc comment refers
 // to this test by name; keep the two in sync.
 func TestOptionsZeroValueDefaults(t *testing.T) {
 	var o Options
-	if o.Algorithm != AlgoRecursive {
-		t.Errorf("Algorithm zero value = %v, want AlgoRecursive", o.Algorithm)
-	}
-	if o.Algorithm.String() != "recursive-dfs" {
-		t.Errorf("default algorithm renders %q", o.Algorithm.String())
-	}
 	if o.Merge != MergeInduced {
 		t.Errorf("Merge zero value = %v, want MergeInduced", o.Merge)
 	}
@@ -32,8 +26,8 @@ func TestOptionsZeroValueDefaults(t *testing.T) {
 	if o.Paths.MaxDepth != 0 || o.Paths.MaxPaths != 0 || o.Paths.CollapseParallel {
 		t.Errorf("Paths bounds = %+v, want 0/0/false (unbounded, parallel links kept)", o.Paths)
 	}
-	if o.Workers != 0 {
-		t.Errorf("Workers zero value = %d, want 0 (one goroutine per branch)", o.Workers)
+	if o.Paths.K != 0 {
+		t.Errorf("Paths.K zero value = %d, want 0 (full enumeration, not ranked)", o.Paths.K)
 	}
 	if o.DiscoveryWorkers != 0 {
 		t.Errorf("DiscoveryWorkers zero value = %d, want 0 (automatic sizing)", o.DiscoveryWorkers)

@@ -68,7 +68,7 @@ type Options struct {
 	// Legacy routes the attribution through the map-based dependability
 	// kernel instead of the compiled bitset kernel. The report is identical
 	// either way (kernel-parity test); the flag is the ablation escape
-	// hatch, mirroring core.Options.LegacyKernel.
+	// hatch, mirroring depend.AnalyzeOptions.Legacy.
 	Legacy bool
 	// Model selects the component availability model (default ModelExact).
 	Model depend.AvailabilityModel

@@ -11,7 +11,7 @@
 //
 //	var enumerations = obs.NewCounter("upsim_pathdisc_enumerations_total",
 //	        "Path enumerations started.", "algorithm")
-//	enumerations.With("recursive-dfs").Inc()
+//	enumerations.With("csr-dfs").Inc()
 //
 // and exposed by mounting obs.Handler() (see internal/server, GET /metrics).
 package obs

@@ -3,26 +3,24 @@ package pathdisc
 // This file implements the compiled path-discovery kernel: a one-time
 // lowering of the string-keyed topology.Graph into an integer-indexed CSR
 // (compressed sparse row) form over which the exponential all-simple-paths
-// search runs allocation-free per expansion. The map-based variants in
-// pathdisc.go pay a string hash, an Edge struct copy and a string compare
-// per expansion, plus one map allocation per expanded node; the compiled
-// kernel replaces all of that with array indexing and a []uint64 visited
-// bitset, and additionally prunes dead-end subtrees with a reverse BFS from
-// the provider before the exponential search enters them. See DESIGN.md §9.
+// search runs allocation-free per expansion. A walker over the graph itself
+// pays a string hash, an Edge struct copy and a string compare per
+// expansion, plus one map allocation per expanded node; the compiled kernel
+// replaces all of that with array indexing and a []uint64 visited bitset,
+// and additionally prunes dead-end subtrees with a reverse BFS from the
+// provider before the exponential search enters them. See DESIGN.md §9.
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"upsim/internal/obs"
 	"upsim/internal/topology"
 )
 
-// Compiled-kernel metrics: compilation events and sizes, pruning effect and
-// parallel-gate decisions, exposed on /metrics next to the per-algorithm
-// search histograms.
+// Compiled-kernel metrics: compilation events and sizes, exposed on
+// /metrics next to the per-mode search histograms.
 var (
 	mCompile = obs.NewCounter("upsim_pathdisc_compile_total",
 		"Topology graphs lowered to CSR form.")
@@ -30,28 +28,15 @@ var (
 		"Node count of the most recently compiled graph.")
 	mCompiledEdges = obs.NewGauge("upsim_pathdisc_compiled_edges",
 		"Edge count of the most recently compiled graph.")
-	mParallelFanout = obs.NewCounter("upsim_pathdisc_parallel_decisions_total",
-		"AllPathsParallelCSR gate decisions.", "decision")
 )
-
-// ParallelBranchingThreshold is the mean-degree floor above which
-// AllPathsParallelCSR fans out over goroutines. Below it the search space is
-// tree-like and shallow, goroutine scheduling dominates the branch cost, and
-// the kernel runs the sequential CSR search instead (the measured fix for
-// the 0.96x "parallel" regression recorded by the cache experiment: fanning
-// out a map-bound kernel over a near-linear search space only added
-// overhead). The value is calibrated by the cmd/experiments pathdisc
-// benchmark: campus/ladder shapes (mean degree ~2) never win from fan-out,
-// meshes (mean degree >= 3) do once real cores are available.
-const ParallelBranchingThreshold = 2.5
 
 // Compiled is the integer-indexed CSR form of a topology.Graph, built once
 // by Compile and reusable across any number of enumerations (it is
 // immutable after construction and safe for concurrent use; per-search
 // scratch comes from an internal sync.Pool). Node IDs are dense ints in
 // graph insertion order; adjacency entries keep the graph's edge insertion
-// order, so every CSR variant reproduces the map-based variants' output
-// order exactly.
+// order, so enumeration reports paths in the order a DFS over the graph
+// itself would.
 type Compiled struct {
 	names []string         // dense node ID -> node name
 	index map[string]int32 // node name -> dense node ID
@@ -73,8 +58,7 @@ type Compiled struct {
 	numEdges  int
 	liveNodes int // names minus tombstoned slots (see patch.go)
 	maxDegree int
-	maxEdgeID int     // largest topology edge ID seen (IDs are never reused)
-	branching float64 // mean adjacency entries per node (2E/N)
+	maxEdgeID int // largest topology edge ID seen (IDs are never reused)
 
 	// Stereotype cost view of ranked discovery (kbest.go): per-edge-ID
 	// traversal cost and throughput, resolved once by SetEdgeCosts (and per
@@ -93,15 +77,14 @@ type Compiled struct {
 
 // scratch is the reusable per-enumeration state: the visited bitset, the
 // reverse-BFS distance table with its queue, and the path buffers. One
-// scratch serves one enumeration (or one branch of the parallel variant) at
-// a time; the pool amortises them across enumerations.
+// scratch serves one search at a time; the pool amortises them across
+// searches.
 type scratch struct {
 	visited []uint64 // bitset, one bit per node, all zero between uses
 	dist    []int32  // hop distance to the provider, -1 when unreachable
 	queue   []int32
 	nodes   []int32
 	edges   []int32
-	frames  []csrFrame
 
 	// Ranked-discovery state (kbest.go): the Dijkstra distance table and
 	// frontier heap, the blocked-edge bitset (all zero between uses, like
@@ -114,11 +97,6 @@ type scratch struct {
 	karena []int32
 	kacc   []kpath
 	kcand  []kpath
-}
-
-type csrFrame struct {
-	node int32
-	next int32 // index into the adjacency entry range of node
 }
 
 // Compile lowers a topology graph into its CSR form. The cost is one pass
@@ -191,9 +169,6 @@ func Compile(g *topology.Graph) *Compiled {
 		}
 	}
 	c.liveNodes = n
-	if n > 0 {
-		c.branching = float64(total) / float64(n)
-	}
 	c.resetPool()
 	mCompile.With().Inc()
 	mCompiledNodes.With().Set(int64(n))
@@ -207,11 +182,6 @@ func (c *Compiled) NumNodes() int { return c.liveNodes }
 
 // NumEdges returns the compiled edge count (parallel edges counted).
 func (c *Compiled) NumEdges() int { return c.numEdges }
-
-// Branching returns the mean adjacency entries per node (2E/N), the
-// branching-factor estimate the parallel gate compares against
-// ParallelBranchingThreshold.
-func (c *Compiled) Branching() float64 { return c.branching }
 
 // MaxDegree returns the largest node degree.
 func (c *Compiled) MaxDegree() int { return c.maxDegree }
@@ -245,7 +215,6 @@ func (c *Compiled) putScratch(s *scratch) {
 	clear(s.eblock)
 	s.nodes = s.nodes[:0]
 	s.edges = s.edges[:0]
-	s.frames = s.frames[:0]
 	s.kheap = s.kheap[:0]
 	s.karena = s.karena[:0]
 	s.kacc = s.kacc[:0]
@@ -289,10 +258,12 @@ func (c *Compiled) reverseBFS(s *scratch, dst int32) {
 		s.dist[i] = -1
 	}
 	s.dist[dst] = 0
+	// Index the queue instead of reslicing its head away: every node is
+	// enqueued at most once, so the pooled capacity of n is never exceeded
+	// and the pass allocates nothing.
 	s.queue = append(s.queue[:0], dst)
-	for len(s.queue) > 0 {
-		cur := s.queue[0]
-		s.queue = s.queue[1:]
+	for i := 0; i < len(s.queue); i++ {
+		cur := s.queue[i]
 		for j := c.adjStart[cur]; j < c.adjStart[cur+1]; j++ {
 			o := c.adjNode[j]
 			if s.dist[o] < 0 {
@@ -311,21 +282,23 @@ func depthBudget(opts Options) int {
 	return math.MaxInt32
 }
 
-// csrSearch is one sequential CSR enumeration (or one branch of the
-// parallel variant): the DFS state plus the accumulated result.
+// csrSearch is one CSR enumeration: the DFS state plus the accumulated
+// result. With countOnly set the search counts reportable paths in
+// stats.Paths instead of materialising them into out.
 type csrSearch struct {
-	c        *Compiled
-	s        *scratch
-	start    []int32
-	adjNode  []int32
-	adjEdge  []int32
-	dst      int32
-	budget   int
-	maxPaths int
-	hardMax  int // Options.HardMaxPaths; exceeding it sets overflow
-	overflow bool
-	out      []Path
-	stats    Stats
+	c         *Compiled
+	s         *scratch
+	start     []int32
+	adjNode   []int32
+	adjEdge   []int32
+	dst       int32
+	budget    int
+	maxPaths  int
+	hardMax   int // Options.HardMaxPaths; exceeding it sets overflow
+	overflow  bool
+	countOnly bool
+	out       []Path
+	stats     Stats
 
 	// Path arenas: emitted Nodes/Edges slices are carved out of chunked
 	// backing arrays, two allocations per chunk instead of two per path.
@@ -385,12 +358,13 @@ func (q *csrSearch) emit() {
 	q.stats.Paths++
 }
 
-// rec is the recursive CSR DFS. It mirrors the map-based AllPaths loop
-// expansion for expansion — same adjacency order, same bound checks — so the
-// output sequence is identical; the only behavioural difference is that
-// pruned expansions (dead ends, or detours provably longer than the depth
-// budget) are skipped before being traversed, which lowers EdgeVisits and is
-// counted in Stats.Pruned. Returns false to abort on MaxPaths.
+// rec is the recursive CSR DFS with path tracking: the visited bitset keeps
+// every reported path simple and the search out of live-locks in cycles.
+// Expansions follow adjacency (edge insertion) order. Pruned expansions
+// (dead ends, or detours provably longer than the depth budget) are skipped
+// before being traversed, which lowers EdgeVisits, is counted in
+// Stats.Pruned and never removes a reportable path. Returns false to abort
+// on MaxPaths or the hard limit.
 //
 //upsim:hotpath
 func (q *csrSearch) rec(cur int32) bool {
@@ -410,7 +384,11 @@ func (q *csrSearch) rec(cur int32) bool {
 		q.s.nodes = append(q.s.nodes, next)
 		q.s.edges = append(q.s.edges, q.adjEdge[j])
 		if next == q.dst {
-			q.emit()
+			if q.countOnly {
+				q.stats.Paths++
+			} else {
+				q.emit()
+			}
 			if q.hardMax > 0 && q.stats.Paths > q.hardMax {
 				q.overflow = true
 				q.pop()
@@ -442,15 +420,36 @@ func (q *csrSearch) pop() {
 }
 
 // AllPaths enumerates all simple paths from src to dst over the compiled
-// graph: the CSR counterpart of the package-level AllPaths, with identical
-// output (same paths, same order) and strictly less search effort thanks to
-// the reachability pruning. The compiled kernel's package-level alias is
-// AllPathsCSR.
+// graph — the paper's DFS with path tracking (Section V-D), and the Step 7
+// implementation of the pipeline. Results are deterministic: edges are
+// expanded in the graph's insertion order. A disconnected pair yields zero
+// paths and no error; more than opts.HardMaxPaths paths yield a
+// *LimitError.
 func (c *Compiled) AllPaths(src, dst string, opts Options) ([]Path, Stats, error) {
-	return c.allPathsSequential(src, dst, opts, "csr-dfs")
+	out, stats, err := c.search(src, dst, opts, false)
+	if err != nil {
+		return nil, stats, err
+	}
+	observe("csr-dfs", stats)
+	return out, stats, nil
 }
 
-func (c *Compiled) allPathsSequential(src, dst string, opts Options, algorithm string) ([]Path, Stats, error) {
+// CountPaths counts the paths AllPaths would return without storing them:
+// the same search, counting at the leaf instead of emitting. Dense graphs
+// whose full enumeration would not fit in memory stay countable, which is
+// what the Section V-D scalability study needs. MaxDepth, MaxPaths,
+// CollapseParallel and HardMaxPaths apply exactly as in AllPaths.
+func (c *Compiled) CountPaths(src, dst string, opts Options) (int, Stats, error) {
+	_, stats, err := c.search(src, dst, opts, true)
+	if err != nil {
+		return 0, stats, err
+	}
+	observe("csr-count", stats)
+	return stats.Paths, stats, nil
+}
+
+// search runs one enumeration for AllPaths (countOnly false) or CountPaths.
+func (c *Compiled) search(src, dst string, opts Options, countOnly bool) ([]Path, Stats, error) {
 	s0, d0, err := c.validate(src, dst)
 	if err != nil {
 		return nil, Stats{}, err
@@ -462,7 +461,7 @@ func (c *Compiled) allPathsSequential(src, dst string, opts Options, algorithm s
 	q := &csrSearch{
 		c: c, s: s, start: start, adjNode: adjNode, adjEdge: adjEdge,
 		dst: d0, budget: depthBudget(opts), maxPaths: opts.MaxPaths,
-		hardMax: opts.HardMaxPaths,
+		hardMax: opts.HardMaxPaths, countOnly: countOnly,
 	}
 	if s.dist[s0] >= 0 { // disconnected pairs skip the search entirely
 		q.visit(s0)
@@ -473,259 +472,5 @@ func (c *Compiled) allPathsSequential(src, dst string, opts Options, algorithm s
 		return nil, q.stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
 	}
 	q.stats.NodeVisits = q.stats.EdgeVisits + 1
-	observe(algorithm, q.stats)
 	return q.out, q.stats, nil
-}
-
-// AllPathsIterative is the explicit-stack CSR variant: same output sequence
-// as AllPaths, recursion depth independent of path length — the safe choice
-// for very deep compiled graphs. Package-level alias: AllPathsIterativeCSR.
-func (c *Compiled) AllPathsIterative(src, dst string, opts Options) ([]Path, Stats, error) {
-	s0, d0, err := c.validate(src, dst)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	s := c.getScratch()
-	defer c.putScratch(s)
-	c.reverseBFS(s, d0)
-	start, adjNode, adjEdge := c.adjacency(opts)
-	q := &csrSearch{
-		c: c, s: s, start: start, adjNode: adjNode, adjEdge: adjEdge,
-		dst: d0, budget: depthBudget(opts), maxPaths: opts.MaxPaths,
-		hardMax: opts.HardMaxPaths,
-	}
-	if s.dist[s0] >= 0 {
-		q.visit(s0)
-		s.nodes = append(s.nodes, s0)
-		s.frames = append(s.frames, csrFrame{node: s0, next: start[s0]})
-		q.iterate()
-	}
-	if q.overflow {
-		return nil, q.stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
-	}
-	q.stats.NodeVisits = q.stats.EdgeVisits + 1
-	observe("csr-iterative", q.stats)
-	return q.out, q.stats, nil
-}
-
-// iterate drives the explicit-stack DFS over the frames in q.s.frames.
-//
-//upsim:hotpath
-func (q *csrSearch) iterate() {
-	s := q.s
-	for len(s.frames) > 0 {
-		if len(s.nodes) > q.stats.MaxStack {
-			q.stats.MaxStack = len(s.nodes)
-		}
-		f := &s.frames[len(s.frames)-1]
-		advanced := false
-		for f.next < q.start[f.node+1] {
-			j := f.next
-			f.next++
-			next := q.adjNode[j]
-			if q.isVisited(next) {
-				continue
-			}
-			if d := s.dist[next]; d < 0 || len(s.edges)+1+int(d) > q.budget {
-				q.stats.Pruned++
-				continue
-			}
-			q.stats.EdgeVisits++
-			s.nodes = append(s.nodes, next)
-			s.edges = append(s.edges, q.adjEdge[j])
-			if next == q.dst {
-				q.emit()
-				if q.hardMax > 0 && q.stats.Paths > q.hardMax {
-					q.overflow = true
-					return
-				}
-				if q.maxPaths > 0 && q.stats.Paths >= q.maxPaths {
-					q.stats.Truncated = true
-					return
-				}
-				q.pop()
-				continue
-			}
-			q.visit(next)
-			s.frames = append(s.frames, csrFrame{node: next, next: q.start[next]})
-			advanced = true
-			break
-		}
-		if advanced {
-			continue
-		}
-		s.frames = s.frames[:len(s.frames)-1]
-		if len(s.frames) > 0 {
-			q.unvisit(f.node)
-			q.pop()
-		}
-	}
-}
-
-// parallelEligible is the measured fan-out gate of AllPathsParallel: spawn
-// goroutines only when there are real cores to run them, the requester
-// actually branches, and the compiled graph's branching factor says the
-// per-branch search is deep enough to amortise scheduling. Everything else
-// falls back to the sequential kernel — which is what turns the historic
-// 0.96x parallel regression into a >= 1.0x floor: the fallback *is* the
-// sequential code path, plus one comparison.
-func (c *Compiled) parallelEligible(src int32, opts Options) bool {
-	if runtime.GOMAXPROCS(0) < 2 {
-		return false
-	}
-	start, _, _ := c.adjacency(opts)
-	if start[src+1]-start[src] < 2 {
-		return false
-	}
-	return c.branching >= ParallelBranchingThreshold
-}
-
-// ParallelEligible reports whether AllPathsParallel would fan out for this
-// requester under the given options, or run the sequential fallback. The
-// scalability experiment uses it to label which mode a measurement exercised.
-func (c *Compiled) ParallelEligible(src string, opts Options) bool {
-	s, ok := c.index[src]
-	if !ok {
-		return false
-	}
-	return c.parallelEligible(s, opts)
-}
-
-// AllPathsParallel enumerates the same path set as AllPaths by partitioning
-// the search over the requester's first-hop branches across a worker pool,
-// falling back to the sequential kernel when parallelEligible says fan-out
-// cannot win. Results keep the sequential order (branches are merged in
-// adjacency order). workers < 1 selects one worker per branch. Package-level
-// alias: AllPathsParallelCSR.
-func (c *Compiled) AllPathsParallel(src, dst string, opts Options, workers int) ([]Path, Stats, error) {
-	s0, d0, err := c.validate(src, dst)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	if !c.parallelEligible(s0, opts) || workers == 1 {
-		mParallelFanout.With("fallback-sequential").Inc()
-		return c.allPathsSequential(src, dst, opts, "csr-parallel")
-	}
-	mParallelFanout.With("fan-out").Inc()
-	start, adjNode, adjEdge := c.adjacency(opts)
-	first, last := start[s0], start[s0+1]
-	branches := int(last - first)
-	if workers < 1 || workers > branches {
-		workers = branches
-	}
-	// The reverse BFS is shared read-only by every branch; compute it once.
-	shared := c.getScratch()
-	defer c.putScratch(shared)
-	c.reverseBFS(shared, d0)
-
-	type result struct {
-		paths    []Path
-		stats    Stats
-		overflow bool
-	}
-	results := make([]result, branches)
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for bi := range work {
-				results[bi].paths, results[bi].stats, results[bi].overflow = c.branch(
-					s0, d0, adjNode[first+int32(bi)], adjEdge[first+int32(bi)],
-					shared.dist, start, adjNode, adjEdge, opts)
-			}
-		}()
-	}
-	for bi := 0; bi < branches; bi++ {
-		work <- bi
-	}
-	close(work)
-	wg.Wait()
-
-	var out []Path
-	var stats Stats
-	for bi := 0; bi < branches; bi++ {
-		r := results[bi]
-		stats.EdgeVisits += r.stats.EdgeVisits
-		stats.Pruned += r.stats.Pruned
-		if r.stats.MaxStack > stats.MaxStack {
-			stats.MaxStack = r.stats.MaxStack
-		}
-		if r.overflow {
-			return nil, stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
-		}
-		for _, p := range r.paths {
-			// MaxPaths (and the hard limit) are enforced branch-locally and on
-			// the merged, ordered result, so the truncated set is the
-			// sequential prefix.
-			out = append(out, p)
-			if opts.HardMaxPaths > 0 && len(out) > opts.HardMaxPaths {
-				return nil, stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
-			}
-			if opts.MaxPaths > 0 && len(out) >= opts.MaxPaths {
-				stats.Truncated = true
-				stats.Paths = len(out)
-				stats.NodeVisits = stats.EdgeVisits + 1
-				observe("csr-parallel", stats)
-				return out, stats, nil
-			}
-		}
-	}
-	stats.Paths = len(out)
-	stats.NodeVisits = stats.EdgeVisits + 1
-	observe("csr-parallel", stats)
-	return out, stats, nil
-}
-
-// branch enumerates the paths whose first hop is the (branchNode, branchEdge)
-// adjacency entry of src. dist is the shared read-only reachability table.
-//
-//upsim:hotpath
-func (c *Compiled) branch(src, dst, branchNode, branchEdge int32, dist []int32, start, adjNode, adjEdge []int32, opts Options) ([]Path, Stats, bool) {
-	var stats Stats
-	if branchNode == src { // self-loop: simple paths never traverse it
-		return nil, stats, false
-	}
-	if d := dist[branchNode]; d < 0 || 1+int(d) > depthBudget(opts) {
-		stats.Pruned++
-		return nil, stats, false
-	}
-	s := c.getScratch()
-	defer c.putScratch(s)
-	copy(s.dist, dist)
-	q := &csrSearch{
-		c: c, s: s, start: start, adjNode: adjNode, adjEdge: adjEdge,
-		dst: dst, budget: depthBudget(opts), maxPaths: opts.MaxPaths,
-		hardMax: opts.HardMaxPaths,
-	}
-	q.visit(src)
-	q.visit(branchNode)
-	s.nodes = append(s.nodes, src, branchNode)
-	s.edges = append(s.edges, branchEdge)
-	q.stats.EdgeVisits = 1
-	q.stats.MaxStack = 2
-	if branchNode == dst {
-		q.emit()
-	} else {
-		q.rec(branchNode)
-	}
-	return q.out, q.stats, q.overflow
-}
-
-// AllPathsCSR runs the compiled recursive DFS — the drop-in counterpart of
-// AllPaths for callers that amortise Compile across enumerations.
-func AllPathsCSR(c *Compiled, src, dst string, opts Options) ([]Path, Stats, error) {
-	return c.AllPaths(src, dst, opts)
-}
-
-// AllPathsIterativeCSR runs the compiled explicit-stack DFS.
-func AllPathsIterativeCSR(c *Compiled, src, dst string, opts Options) ([]Path, Stats, error) {
-	return c.AllPathsIterative(src, dst, opts)
-}
-
-// AllPathsParallelCSR runs the compiled branch-parallel DFS with the
-// threshold-gated sequential fallback.
-func AllPathsParallelCSR(c *Compiled, src, dst string, opts Options, workers int) ([]Path, Stats, error) {
-	return c.AllPathsParallel(src, dst, opts, workers)
 }

@@ -1,11 +1,10 @@
 package pathdisc
 
-// Parity error formats shared by the map-based walker (pathdisc.go) and the
-// compiled CSR kernel (compile.go). The kernel promises output identical to
-// the legacy walker *including error messages* — pinned by the property and
-// fuzz tests and enforced statically by the upsimvet errparity rule: a
-// format string used by both implementations must be a single constant, so
-// the two validation paths cannot drift apart silently.
+// Parity error formats shared by the compiled CSR kernel (compile.go) and
+// the map-based test oracle (oracle_test.go). The kernel promises errors
+// identical to the oracle's word for word — pinned by TestCSRValidation —
+// and one constant per format keeps the two validation paths from drifting
+// apart silently.
 const (
 	errFmtRequesterMissing = "pathdisc: requester %q not in infrastructure"
 	errFmtProviderMissing  = "pathdisc: provider %q not in infrastructure"

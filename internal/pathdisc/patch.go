@@ -177,7 +177,7 @@ func (c *Compiled) removeAdj(v, e int32) bool {
 }
 
 // afterPatch restores the derived state every patch invalidates: the
-// collapsed parallel-edge view, the degree/branching statistics. Cost is
+// collapsed parallel-edge view and the degree statistic. Cost is
 // O(V+E) with integer ops only — no string hashing, no per-node maps —
 // which is what makes patching beat recompilation (BENCH_whatif.json).
 func (c *Compiled) afterPatch() {
@@ -186,10 +186,6 @@ func (c *Compiled) afterPatch() {
 		if d := int(c.adjStart[i+1] - c.adjStart[i]); d > c.maxDegree {
 			c.maxDegree = d
 		}
-	}
-	c.branching = 0
-	if c.liveNodes > 0 {
-		c.branching = float64(len(c.adjNode)) / float64(c.liveNodes)
 	}
 	c.rebuildCollapsed()
 	mCompiledNodes.With().Set(int64(c.liveNodes))

@@ -3,10 +3,12 @@
 // and a service mapping pair (requester, provider), it enumerates all simple
 // paths between the two components. The paper chooses "a depth-first search
 // (DFS) algorithm with a path tracking mechanism to avoid live-locks within
-// cycles"; this package provides that algorithm in recursive, iterative and
-// parallel variants (all producing the same path set, which the tests verify
-// by property), a bounded-depth variant for very dense graphs, and a BFS
-// shortest-path baseline used by the redundancy ablation.
+// cycles"; this package runs that algorithm on a compiled, integer-indexed
+// form of the graph (Compile, Compiled.AllPaths), counts paths without
+// storing them (Compiled.CountPaths), and offers a budgeted ranked mode
+// (Compiled.KShortest) that returns the K cheapest paths instead of all of
+// them. The original map-based walker survives only as the test oracle the
+// kernel is checked against.
 package pathdisc
 
 import (
@@ -15,14 +17,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"upsim/internal/obs"
-	"upsim/internal/topology"
 )
 
-// Search-effort metrics, one observation per completed enumeration,
-// partitioned by algorithm variant. The exponential buckets follow the
+// Search-effort metrics, one observation per completed search, partitioned
+// by search mode (csr-dfs, csr-count, csr-kbest). The exponential buckets follow the
 // paper's complexity discussion (§V-D): effort grows factorially with
 // density, so linear buckets would saturate immediately.
 var (
@@ -194,538 +194,18 @@ type Stats struct {
 	// NodeVisits counts node expansions, including the initial requester
 	// and re-entries of the same node along different partial paths. Each
 	// traversed edge enters exactly one node, so for a completed search
-	// NodeVisits = EdgeVisits + 1 (per independent sub-search for the
-	// parallel variant).
+	// NodeVisits = EdgeVisits + 1.
 	NodeVisits int
 	// MaxStack is the deepest DFS stack observed (in nodes).
 	MaxStack int
 	// Paths is the number of reported paths.
 	Paths int
-	// Pruned counts expansions skipped by the compiled kernel's
-	// destination-reachability pruning (see Compile); always zero for the
-	// map-based variants, which explore dead-end subtrees in full.
+	// Pruned counts expansions skipped by the kernel's destination-
+	// reachability pruning (see Compile): dead ends, and detours provably
+	// longer than the MaxDepth budget.
 	Pruned int
 	// Truncated reports whether MaxPaths stopped the enumeration early.
 	Truncated bool
-}
-
-func validateEndpoints(g *topology.Graph, src, dst string) error {
-	if !g.HasNode(src) {
-		return fmt.Errorf(errFmtRequesterMissing, src)
-	}
-	if !g.HasNode(dst) {
-		return fmt.Errorf(errFmtProviderMissing, dst)
-	}
-	if src == dst {
-		return fmt.Errorf(errFmtSameEndpoints, src)
-	}
-	return nil
-}
-
-// AllPaths enumerates all simple paths from src to dst using recursive DFS
-// with path tracking — the algorithm the paper selected. Results are
-// deterministic: edges are expanded in insertion order.
-func AllPaths(g *topology.Graph, src, dst string, opts Options) ([]Path, Stats, error) {
-	if err := validateEndpoints(g, src, dst); err != nil {
-		return nil, Stats{}, err
-	}
-	var (
-		stats   Stats
-		out     []Path
-		nodes   = []string{src}
-		edges   []int
-		visited = map[string]bool{src: true}
-		hardHit bool
-	)
-	var rec func(cur string) bool // returns false to abort (MaxPaths or hard limit hit)
-	rec = func(cur string) bool {
-		if len(nodes) > stats.MaxStack {
-			stats.MaxStack = len(nodes)
-		}
-		seenPair := map[string]bool{}
-		for _, id := range g.IncidentEdges(cur) {
-			e, _ := g.Edge(id)
-			next := e.Other(cur)
-			if visited[next] {
-				continue // path tracking: avoid live-locks within cycles
-			}
-			if opts.CollapseParallel {
-				if seenPair[next] {
-					continue
-				}
-				seenPair[next] = true
-			}
-			if opts.MaxDepth > 0 && len(edges)+1 > opts.MaxDepth {
-				continue
-			}
-			stats.EdgeVisits++
-			nodes = append(nodes, next)
-			edges = append(edges, id)
-			if next == dst {
-				out = append(out, Path{Nodes: append([]string(nil), nodes...), Edges: append([]int(nil), edges...)})
-				stats.Paths++
-				if opts.HardMaxPaths > 0 && stats.Paths > opts.HardMaxPaths {
-					hardHit = true
-					nodes = nodes[:len(nodes)-1]
-					edges = edges[:len(edges)-1]
-					return false
-				}
-				if opts.MaxPaths > 0 && stats.Paths >= opts.MaxPaths {
-					stats.Truncated = true
-					nodes = nodes[:len(nodes)-1]
-					edges = edges[:len(edges)-1]
-					return false
-				}
-			} else {
-				visited[next] = true
-				ok := rec(next)
-				visited[next] = false
-				if !ok {
-					nodes = nodes[:len(nodes)-1]
-					edges = edges[:len(edges)-1]
-					return false
-				}
-			}
-			nodes = nodes[:len(nodes)-1]
-			edges = edges[:len(edges)-1]
-		}
-		return true
-	}
-	rec(src)
-	if hardHit {
-		return nil, stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
-	}
-	stats.NodeVisits = stats.EdgeVisits + 1
-	observe("recursive-dfs", stats)
-	return out, stats, nil
-}
-
-// AllPathsIterative is the explicit-stack variant of AllPaths. It produces
-// exactly the same path sequence and exists both as an ablation subject and
-// as the safe choice for very deep graphs where recursion depth is a
-// concern.
-func AllPathsIterative(g *topology.Graph, src, dst string, opts Options) ([]Path, Stats, error) {
-	if err := validateEndpoints(g, src, dst); err != nil {
-		return nil, Stats{}, err
-	}
-	type frame struct {
-		node     string
-		nextIdx  int
-		seenPair map[string]bool
-	}
-	var (
-		stats   Stats
-		out     []Path
-		nodes   = []string{src}
-		edges   []int
-		visited = map[string]bool{src: true}
-		stack   = []*frame{{node: src}}
-	)
-	if opts.CollapseParallel {
-		stack[0].seenPair = map[string]bool{}
-	}
-	for len(stack) > 0 {
-		if len(nodes) > stats.MaxStack {
-			stats.MaxStack = len(nodes)
-		}
-		f := stack[len(stack)-1]
-		inc := g.IncidentEdges(f.node)
-		advanced := false
-		for f.nextIdx < len(inc) {
-			id := inc[f.nextIdx]
-			f.nextIdx++
-			e, _ := g.Edge(id)
-			next := e.Other(f.node)
-			if visited[next] {
-				continue
-			}
-			if opts.CollapseParallel {
-				if f.seenPair[next] {
-					continue
-				}
-				f.seenPair[next] = true
-			}
-			if opts.MaxDepth > 0 && len(edges)+1 > opts.MaxDepth {
-				continue
-			}
-			stats.EdgeVisits++
-			if next == dst {
-				p := Path{
-					Nodes: append(append([]string(nil), nodes...), next),
-					Edges: append(append([]int(nil), edges...), id),
-				}
-				out = append(out, p)
-				stats.Paths++
-				if opts.HardMaxPaths > 0 && stats.Paths > opts.HardMaxPaths {
-					return nil, stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
-				}
-				if opts.MaxPaths > 0 && stats.Paths >= opts.MaxPaths {
-					stats.Truncated = true
-					stats.NodeVisits = stats.EdgeVisits + 1
-					observe("iterative-dfs", stats)
-					return out, stats, nil
-				}
-				continue
-			}
-			visited[next] = true
-			nodes = append(nodes, next)
-			edges = append(edges, id)
-			nf := &frame{node: next}
-			if opts.CollapseParallel {
-				nf.seenPair = map[string]bool{}
-			}
-			stack = append(stack, nf)
-			advanced = true
-			break
-		}
-		if advanced {
-			continue
-		}
-		// Frame exhausted: backtrack.
-		stack = stack[:len(stack)-1]
-		if len(stack) > 0 {
-			visited[f.node] = false
-			nodes = nodes[:len(nodes)-1]
-			edges = edges[:len(edges)-1]
-		}
-	}
-	stats.NodeVisits = stats.EdgeVisits + 1
-	observe("iterative-dfs", stats)
-	return out, stats, nil
-}
-
-// AllPathsParallel enumerates the same path set as AllPaths using a worker
-// pool: the search space is partitioned by the first edge out of the
-// requester and each branch is explored concurrently. Results are re-sorted
-// into the sequential order. workers < 1 selects one worker per branch.
-func AllPathsParallel(g *topology.Graph, src, dst string, opts Options, workers int) ([]Path, Stats, error) {
-	if err := validateEndpoints(g, src, dst); err != nil {
-		return nil, Stats{}, err
-	}
-	branches := g.IncidentEdges(src)
-	if len(branches) == 0 {
-		return nil, Stats{}, nil
-	}
-	if workers < 1 || workers > len(branches) {
-		workers = len(branches)
-	}
-	// MaxPaths interacts with branch parallelism: each branch enumerates at
-	// most MaxPaths, then the merged result is truncated. The combined
-	// result therefore honours the global bound while staying deterministic.
-	type result struct {
-		branch int
-		paths  []Path
-		stats  Stats
-		err    error
-	}
-	work := make(chan int)
-	results := make(chan result)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for bi := range work {
-				paths, stats, err := branchPaths(g, src, dst, branches[bi], opts)
-				results <- result{branch: bi, paths: paths, stats: stats, err: err}
-			}
-		}()
-	}
-	go func() {
-		for bi := range branches {
-			work <- bi
-		}
-		close(work)
-		wg.Wait()
-		close(results)
-	}()
-
-	collected := make([][]Path, len(branches))
-	var stats Stats
-	var firstErr error
-	seenPair := map[string]bool{}
-	for r := range results {
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		collected[r.branch] = r.paths
-		stats.EdgeVisits += r.stats.EdgeVisits
-		if r.stats.MaxStack > stats.MaxStack {
-			stats.MaxStack = r.stats.MaxStack
-		}
-	}
-	if firstErr != nil {
-		if _, ok := AsLimitError(firstErr); ok {
-			// Branch-local limit errors name the branch's entry node; report
-			// the enumeration's own endpoints instead.
-			firstErr = &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
-		}
-		return nil, Stats{}, firstErr
-	}
-	var out []Path
-	for bi := range branches {
-		for _, p := range collected[bi] {
-			if opts.CollapseParallel {
-				// Branch-local parallel-edge collapsing cannot see sibling
-				// branches that start over a parallel edge of the same
-				// pair; dedupe on the node sequence here.
-				key := strings.Join(p.Nodes, "\x00")
-				if seenPair[key] {
-					continue
-				}
-				seenPair[key] = true
-			}
-			out = append(out, p)
-			if opts.HardMaxPaths > 0 && len(out) > opts.HardMaxPaths {
-				return nil, stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
-			}
-			if opts.MaxPaths > 0 && len(out) >= opts.MaxPaths {
-				stats.Truncated = true
-				stats.Paths = len(out)
-				stats.NodeVisits = stats.EdgeVisits + 1
-				observe("parallel-dfs", stats)
-				return out, stats, nil
-			}
-		}
-	}
-	stats.Paths = len(out)
-	stats.NodeVisits = stats.EdgeVisits + 1
-	observe("parallel-dfs", stats)
-	return out, stats, nil
-}
-
-// branchPaths runs the sequential DFS restricted to paths whose first edge
-// is firstEdge.
-func branchPaths(g *topology.Graph, src, dst string, firstEdge int, opts Options) ([]Path, Stats, error) {
-	e, ok := g.Edge(firstEdge)
-	if !ok {
-		return nil, Stats{}, fmt.Errorf("pathdisc: unknown edge %d", firstEdge)
-	}
-	next := e.Other(src)
-	var stats Stats
-	stats.EdgeVisits = 1
-	if next == dst {
-		p := Path{Nodes: []string{src, dst}, Edges: []int{firstEdge}}
-		stats.Paths = 1
-		stats.MaxStack = 2
-		return []Path{p}, stats, nil
-	}
-	if opts.MaxDepth == 1 {
-		return nil, stats, nil
-	}
-	subOpts := opts
-	if subOpts.MaxDepth > 0 {
-		subOpts.MaxDepth--
-	}
-	sub, subStats, err := allPathsAvoiding(g, next, dst, subOpts, src)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.EdgeVisits += subStats.EdgeVisits
-	stats.MaxStack = subStats.MaxStack + 1
-	out := make([]Path, 0, len(sub))
-	for _, p := range sub {
-		out = append(out, Path{
-			Nodes: append([]string{src}, p.Nodes...),
-			Edges: append([]int{firstEdge}, p.Edges...),
-		})
-	}
-	stats.Paths = len(out)
-	return out, stats, nil
-}
-
-// allPathsAvoiding is AllPaths with an extra pre-visited node.
-func allPathsAvoiding(g *topology.Graph, src, dst string, opts Options, avoid string) ([]Path, Stats, error) {
-	if err := validateEndpoints(g, src, dst); err != nil {
-		return nil, Stats{}, err
-	}
-	var (
-		stats   Stats
-		out     []Path
-		nodes   = []string{src}
-		edges   []int
-		visited = map[string]bool{src: true, avoid: true}
-		hardHit bool
-	)
-	var rec func(cur string) bool
-	rec = func(cur string) bool {
-		if len(nodes) > stats.MaxStack {
-			stats.MaxStack = len(nodes)
-		}
-		seenPair := map[string]bool{}
-		for _, id := range g.IncidentEdges(cur) {
-			e, _ := g.Edge(id)
-			next := e.Other(cur)
-			if visited[next] {
-				continue
-			}
-			if opts.CollapseParallel {
-				if seenPair[next] {
-					continue
-				}
-				seenPair[next] = true
-			}
-			if opts.MaxDepth > 0 && len(edges)+1 > opts.MaxDepth {
-				continue
-			}
-			stats.EdgeVisits++
-			nodes = append(nodes, next)
-			edges = append(edges, id)
-			if next == dst {
-				out = append(out, Path{Nodes: append([]string(nil), nodes...), Edges: append([]int(nil), edges...)})
-				stats.Paths++
-				if opts.HardMaxPaths > 0 && stats.Paths > opts.HardMaxPaths {
-					hardHit = true
-					nodes = nodes[:len(nodes)-1]
-					edges = edges[:len(edges)-1]
-					return false
-				}
-				if opts.MaxPaths > 0 && stats.Paths >= opts.MaxPaths {
-					stats.Truncated = true
-					nodes = nodes[:len(nodes)-1]
-					edges = edges[:len(edges)-1]
-					return false
-				}
-			} else {
-				visited[next] = true
-				ok := rec(next)
-				visited[next] = false
-				if !ok {
-					nodes = nodes[:len(nodes)-1]
-					edges = edges[:len(edges)-1]
-					return false
-				}
-			}
-			nodes = nodes[:len(nodes)-1]
-			edges = edges[:len(edges)-1]
-		}
-		return true
-	}
-	rec(src)
-	if hardHit {
-		return nil, stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
-	}
-	return out, stats, nil
-}
-
-// CountPaths counts all simple paths from src to dst without storing them,
-// so that the factorial-growth experiments of Section V-D can run on dense
-// graphs whose full enumeration would not fit in memory. MaxPaths and
-// MaxDepth from opts are honoured; CollapseParallel is too.
-func CountPaths(g *topology.Graph, src, dst string, opts Options) (int, Stats, error) {
-	if err := validateEndpoints(g, src, dst); err != nil {
-		return 0, Stats{}, err
-	}
-	var (
-		stats   Stats
-		count   int
-		depth   int
-		visited = map[string]bool{src: true}
-		hardHit bool
-	)
-	var rec func(cur string) bool
-	rec = func(cur string) bool {
-		if depth+1 > stats.MaxStack {
-			stats.MaxStack = depth + 1
-		}
-		seenPair := map[string]bool{}
-		for _, id := range g.IncidentEdges(cur) {
-			e, _ := g.Edge(id)
-			next := e.Other(cur)
-			if visited[next] {
-				continue
-			}
-			if opts.CollapseParallel {
-				if seenPair[next] {
-					continue
-				}
-				seenPair[next] = true
-			}
-			if opts.MaxDepth > 0 && depth+1 > opts.MaxDepth {
-				continue
-			}
-			stats.EdgeVisits++
-			if next == dst {
-				count++
-				stats.Paths++
-				if opts.HardMaxPaths > 0 && count > opts.HardMaxPaths {
-					hardHit = true
-					return false
-				}
-				if opts.MaxPaths > 0 && count >= opts.MaxPaths {
-					stats.Truncated = true
-					return false
-				}
-				continue
-			}
-			visited[next] = true
-			depth++
-			ok := rec(next)
-			depth--
-			visited[next] = false
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	rec(src)
-	if hardHit {
-		return 0, stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
-	}
-	stats.NodeVisits = stats.EdgeVisits + 1
-	observe("count", stats)
-	return count, stats, nil
-}
-
-// ShortestPath returns one minimum-hop path from src to dst via BFS, or an
-// error when dst is unreachable. It is the baseline the redundancy ablation
-// compares against: a UPSIM built from shortest paths only drops the
-// redundant paths Definition 2 requires.
-func ShortestPath(g *topology.Graph, src, dst string) (Path, error) {
-	if err := validateEndpoints(g, src, dst); err != nil {
-		return Path{}, err
-	}
-	type hop struct {
-		prev string
-		edge int
-	}
-	prev := map[string]hop{src: {}}
-	queue := []string{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == dst {
-			break
-		}
-		for _, id := range g.IncidentEdges(cur) {
-			e, _ := g.Edge(id)
-			next := e.Other(cur)
-			if _, seen := prev[next]; seen {
-				continue
-			}
-			prev[next] = hop{prev: cur, edge: id}
-			queue = append(queue, next)
-		}
-	}
-	if _, ok := prev[dst]; !ok {
-		return Path{}, fmt.Errorf("pathdisc: no path from %q to %q", src, dst)
-	}
-	var revNodes []string
-	var revEdges []int
-	for cur := dst; cur != src; {
-		h := prev[cur]
-		revNodes = append(revNodes, cur)
-		revEdges = append(revEdges, h.edge)
-		cur = h.prev
-	}
-	p := Path{Nodes: make([]string, 0, len(revNodes)+1), Edges: make([]int, 0, len(revEdges))}
-	p.Nodes = append(p.Nodes, src)
-	for i := len(revNodes) - 1; i >= 0; i-- {
-		p.Nodes = append(p.Nodes, revNodes[i])
-		p.Edges = append(p.Edges, revEdges[i])
-	}
-	return p, nil
 }
 
 // NodeSet returns the union of nodes over the given paths — the filter set
@@ -753,8 +233,8 @@ func EdgeSet(paths []Path) map[int]bool {
 }
 
 // Sort orders paths canonically: by length, then lexicographically by node
-// sequence, then by edge IDs. It makes outputs of different algorithm
-// variants directly comparable.
+// sequence, then by edge IDs. It makes the outputs of different searches
+// (full enumeration, ranked discovery) directly comparable.
 func Sort(paths []Path) {
 	sort.Slice(paths, func(i, j int) bool {
 		a, b := paths[i], paths[j]

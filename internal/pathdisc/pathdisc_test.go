@@ -1,11 +1,19 @@
 package pathdisc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"upsim/internal/testutil"
 	"upsim/internal/topology"
 )
+
+// kernelPaths enumerates through a fresh compile of g — the production
+// Step 7 path, for tests that build their graph inline.
+func kernelPaths(g *topology.Graph, src, dst string, opts Options) ([]Path, Stats, error) {
+	return Compile(g).AllPaths(src, dst, opts)
+}
 
 // diamond builds the classic redundancy fixture:
 //
@@ -32,7 +40,7 @@ func diamond(t *testing.T) *topology.Graph {
 
 func TestAllPathsDiamond(t *testing.T) {
 	g := diamond(t)
-	paths, stats, err := AllPaths(g, "a", "d", Options{})
+	paths, stats, err := kernelPaths(g, "a", "d", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +67,7 @@ func TestAllPathsCycleSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, _, err := AllPaths(g, "n0", "n2", Options{})
+	paths, _, err := kernelPaths(g, "n0", "n2", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +82,7 @@ func TestAllPathsParallelEdges(t *testing.T) {
 	_ = g.AddNode("b", "")
 	_, _ = g.AddEdge("a", "b", "l1")
 	_, _ = g.AddEdge("a", "b", "l2")
-	paths, _, err := AllPaths(g, "a", "b", Options{})
+	paths, _, err := kernelPaths(g, "a", "b", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +92,7 @@ func TestAllPathsParallelEdges(t *testing.T) {
 	if paths[0].Edges[0] == paths[1].Edges[0] {
 		t.Error("paths must use distinct edges")
 	}
-	collapsed, _, err := AllPaths(g, "a", "b", Options{CollapseParallel: true})
+	collapsed, _, err := kernelPaths(g, "a", "b", Options{CollapseParallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +110,11 @@ func TestAllPathsDepthBound(t *testing.T) {
 	_, _ = g.AddEdge("a", "e", "")
 	_, _ = g.AddEdge("e", "f", "")
 	_, _ = g.AddEdge("f", "d", "")
-	all, _, _ := AllPaths(g, "a", "d", Options{})
+	all, _, _ := kernelPaths(g, "a", "d", Options{})
 	if len(all) != 3 {
 		t.Fatalf("unbounded paths = %d, want 3", len(all))
 	}
-	bounded, _, _ := AllPaths(g, "a", "d", Options{MaxDepth: 2})
+	bounded, _, _ := kernelPaths(g, "a", "d", Options{MaxDepth: 2})
 	if len(bounded) != 2 {
 		t.Fatalf("depth-2 paths = %d, want 2", len(bounded))
 	}
@@ -119,14 +127,14 @@ func TestAllPathsDepthBound(t *testing.T) {
 
 func TestAllPathsMaxPaths(t *testing.T) {
 	g, _ := topology.Mesh(7)
-	paths, stats, err := AllPaths(g, "n0", "n6", Options{MaxPaths: 10})
+	paths, stats, err := kernelPaths(g, "n0", "n6", Options{MaxPaths: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) != 10 || !stats.Truncated {
 		t.Errorf("len = %d, truncated = %v", len(paths), stats.Truncated)
 	}
-	all, stats2, _ := AllPaths(g, "n0", "n6", Options{})
+	all, stats2, _ := kernelPaths(g, "n0", "n6", Options{})
 	if stats2.Truncated {
 		t.Error("unbounded run must not be truncated")
 	}
@@ -145,17 +153,17 @@ func TestAllPathsMaxPaths(t *testing.T) {
 
 func TestEndpointValidation(t *testing.T) {
 	g := diamond(t)
-	if _, _, err := AllPaths(g, "ghost", "d", Options{}); err == nil {
-		t.Error("unknown requester should fail")
-	}
-	if _, _, err := AllPaths(g, "a", "ghost", Options{}); err == nil {
-		t.Error("unknown provider should fail")
-	}
-	if _, _, err := AllPaths(g, "a", "a", Options{}); err == nil {
-		t.Error("identical endpoints should fail")
-	}
-	if _, err := ShortestPath(g, "ghost", "a"); err == nil {
-		t.Error("shortest path endpoint validation missing")
+	c := Compile(g)
+	for _, pair := range [][2]string{{"ghost", "d"}, {"a", "ghost"}, {"a", "a"}} {
+		if _, _, err := c.AllPaths(pair[0], pair[1], Options{}); err == nil {
+			t.Errorf("AllPaths(%s, %s) should fail", pair[0], pair[1])
+		}
+		if _, _, err := c.CountPaths(pair[0], pair[1], Options{}); err == nil {
+			t.Errorf("CountPaths(%s, %s) should fail", pair[0], pair[1])
+		}
+		if _, _, err := c.KShortest(pair[0], pair[1], Options{K: 1}); err == nil {
+			t.Errorf("KShortest(%s, %s) should fail", pair[0], pair[1])
+		}
 	}
 }
 
@@ -163,38 +171,46 @@ func TestDisconnectedPair(t *testing.T) {
 	g := topology.New()
 	_ = g.AddNode("a", "")
 	_ = g.AddNode("b", "")
-	paths, stats, err := AllPaths(g, "a", "b", Options{})
+	c := Compile(g)
+	paths, stats, err := c.AllPaths("a", "b", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) != 0 || stats.Paths != 0 {
 		t.Error("disconnected pair must yield zero paths without error")
 	}
-	if _, err := ShortestPath(g, "a", "b"); err == nil {
-		t.Error("shortest path on disconnected pair should fail")
+	if n, _, err := c.CountPaths("a", "b", Options{}); err != nil || n != 0 {
+		t.Errorf("count on disconnected pair = %d, %v", n, err)
 	}
-	// Parallel variant with zero branches.
-	pp, _, err := AllPathsParallel(g, "a", "b", Options{}, 4)
-	if err != nil || len(pp) != 0 {
-		t.Errorf("parallel disconnected = %v, %v", pp, err)
+	// Ranked discovery answers "the best you can get": nothing, no error.
+	if ps, _, err := c.KShortest("a", "b", Options{K: 1}); err != nil || len(ps) != 0 {
+		t.Errorf("K=1 on disconnected pair = %v, %v", ps, err)
 	}
+}
+
+// shortestPath is the redundancy ablation's single path: ranked discovery
+// with K = 1 under the hop metric.
+func shortestPath(t *testing.T, g *topology.Graph, src, dst string) Path {
+	t.Helper()
+	ps, _, err := Compile(g).KShortest(src, dst, Options{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ps) != 1 {
+		t.Fatalf("K=1 %s→%s returned %d paths", src, dst, len(ps))
+	}
+	return ps[0]
 }
 
 func TestShortestPath(t *testing.T) {
 	g := diamond(t)
-	p, err := ShortestPath(g, "a", "d")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := shortestPath(t, g, "a", "d")
 	if p.Len() != 2 || p.Nodes[0] != "a" || p.Nodes[2] != "d" {
 		t.Errorf("shortest = %s", p)
 	}
 	// Chain: the unique path.
 	c, _ := topology.Chain(6)
-	p, err = ShortestPath(c, "n0", "n5")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p = shortestPath(t, c, "n0", "n5")
 	if p.String() != "n0—n1—n2—n3—n4—n5" {
 		t.Errorf("chain shortest = %s", p)
 	}
@@ -203,6 +219,42 @@ func TestShortestPath(t *testing.T) {
 	}
 }
 
+// TestShortestPathMatchesOracleMinimum is the property behind the
+// redundancy ablation: over random multigraphs, the K=1 hop-cost path is
+// as short as the shortest path the oracle enumerates, and exists exactly
+// when the oracle finds any path.
+func TestShortestPathMatchesOracleMinimum(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		n := 4 + int(seed)%10
+		g := randomMultigraph(t, seed, n, n/2+int(seed)%6)
+		src, dst := "n0", fmt.Sprintf("n%d", n-1)
+		all, _, err := AllPaths(g, src, dst, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := Compile(g).KShortest(src, dst, Options{K: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) == 0 {
+			if len(got) != 0 {
+				t.Fatalf("seed %d: oracle finds no path, K=1 returned %s", seed, got[0])
+			}
+			continue
+		}
+		minLen := all[0].Len()
+		for _, p := range all[1:] {
+			minLen = min(minLen, p.Len())
+		}
+		if len(got) != 1 || got[0].Len() != minLen {
+			t.Fatalf("seed %d: K=1 = %v, want one path of %d hops", seed, got, minLen)
+		}
+	}
+}
+
+// TestVariantsAgree checks the compiled kernel against the oracle on the
+// named topology shapes the scalability study uses: identical paths in
+// identical order.
 func TestVariantsAgree(t *testing.T) {
 	graphs := map[string]*topology.Graph{}
 	if g, err := topology.Mesh(6); err == nil {
@@ -222,31 +274,15 @@ func TestVariantsAgree(t *testing.T) {
 	for name, g := range graphs {
 		names := g.NodeNames()
 		src, dst := names[0], names[len(names)-1]
-		rec, _, err := AllPaths(g, src, dst, Options{})
+		want, _, err := AllPaths(g, src, dst, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		iter, _, err := AllPathsIterative(g, src, dst, Options{})
+		got, _, err := kernelPaths(g, src, dst, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		par, _, err := AllPathsParallel(g, src, dst, Options{}, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !Equal(rec, iter) {
-			t.Errorf("%s: recursive and iterative path sets differ (%d vs %d)", name, len(rec), len(iter))
-		}
-		if !Equal(rec, par) {
-			t.Errorf("%s: recursive and parallel path sets differ (%d vs %d)", name, len(rec), len(par))
-		}
-		// Iterative emits the same sequence, not just the same set.
-		for i := range rec {
-			if rec[i].equalKey() != iter[i].equalKey() {
-				t.Errorf("%s: sequence differs at %d: %s vs %s", name, i, rec[i], iter[i])
-				break
-			}
-		}
+		assertSameSequence(t, name, want, got)
 	}
 }
 
@@ -256,12 +292,12 @@ func TestVariantsAgreeWithOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{MaxDepth: 6, CollapseParallel: true}
-	rec, _, _ := AllPaths(g, "n0", "n17", opts)
-	iter, _, _ := AllPathsIterative(g, "n0", "n17", opts)
-	par, _, _ := AllPathsParallel(g, "n0", "n17", opts, 3)
-	if !Equal(rec, iter) || !Equal(rec, par) {
-		t.Errorf("variants disagree under options: %d/%d/%d", len(rec), len(iter), len(par))
+	want, _, _ := AllPaths(g, "n0", "n17", opts)
+	got, _, err := kernelPaths(g, "n0", "n17", opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertSameSequence(t, "rand18 depth6 collapsed", want, got)
 }
 
 func TestPathInvariants(t *testing.T) {
@@ -269,7 +305,7 @@ func TestPathInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, _, err := AllPaths(g, "n0", "n19", Options{})
+	paths, _, err := kernelPaths(g, "n0", "n19", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +337,7 @@ func TestPathInvariants(t *testing.T) {
 
 func TestNodeAndEdgeSets(t *testing.T) {
 	g := diamond(t)
-	paths, _, _ := AllPaths(g, "a", "d", Options{})
+	paths, _, _ := kernelPaths(g, "a", "d", Options{})
 	ns := NodeSet(paths)
 	if len(ns) != 4 {
 		t.Errorf("NodeSet = %v", ns)
@@ -345,95 +381,111 @@ func TestPathString(t *testing.T) {
 	}
 }
 
-func TestParallelWorkerCounts(t *testing.T) {
-	g, _ := topology.Mesh(6)
-	want, _, _ := AllPaths(g, "n0", "n5", Options{})
-	for _, workers := range []int{-1, 0, 1, 2, 16, 100} {
-		got, _, err := AllPathsParallel(g, "n0", "n5", Options{}, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !Equal(want, got) {
-			t.Errorf("workers=%d: path set differs", workers)
-		}
-	}
-}
-
-func TestParallelMaxPathsPrefix(t *testing.T) {
-	g, _ := topology.Mesh(7)
-	full, _, _ := AllPaths(g, "n0", "n6", Options{})
-	trunc, stats, err := AllPathsParallel(g, "n0", "n6", Options{MaxPaths: 25}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trunc) != 25 || !stats.Truncated {
-		t.Fatalf("parallel truncation: %d paths, truncated=%v", len(trunc), stats.Truncated)
-	}
-	for i := range trunc {
-		if trunc[i].equalKey() != full[i].equalKey() {
-			t.Fatalf("parallel truncated result is not the sequential prefix at %d", i)
-		}
-	}
-}
-
+// TestCountPathsAgreesWithAllPaths pins Compiled.CountPaths to the oracle's
+// path count over random multigraphs and the full option matrix, including
+// MaxPaths truncation and the hard limit.
 func TestCountPathsAgreesWithAllPaths(t *testing.T) {
-	graphs := map[string]*topology.Graph{}
-	if g, err := topology.Mesh(7); err == nil {
-		graphs["mesh7"] = g
-	}
-	if g, err := topology.RandomConnected(18, 0.08, 9); err == nil {
-		graphs["rand18"] = g
-	}
-	if g, err := topology.Ring(9); err == nil {
-		graphs["ring9"] = g
-	}
-	for name, g := range graphs {
-		names := g.NodeNames()
-		src, dst := names[0], names[len(names)-1]
-		for _, opts := range []Options{
-			{},
-			{MaxDepth: 5},
-			{CollapseParallel: true},
-			{MaxPaths: 7},
-		} {
-			paths, _, err := AllPaths(g, src, dst, opts)
+	for seed := int64(1); seed <= 25; seed++ {
+		n := 6 + int(seed)%9
+		g := randomMultigraph(t, seed, n, n/2+int(seed)%5)
+		c := Compile(g)
+		src, dst := "n0", fmt.Sprintf("n%d", n-1)
+		for _, opts := range optionsMatrix() {
+			label := fmt.Sprintf("seed=%d n=%d opts=%+v", seed, n, opts)
+			want, wantStats, err := AllPaths(g, src, dst, opts)
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("%s: oracle: %v", label, err)
 			}
-			count, stats, err := CountPaths(g, src, dst, opts)
+			count, stats, err := c.CountPaths(src, dst, opts)
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			if count != len(paths) {
-				t.Errorf("%s %+v: CountPaths = %d, AllPaths = %d", name, opts, count, len(paths))
+			if count != len(want) || stats.Paths != count {
+				t.Fatalf("%s: CountPaths = %d (stats %d), oracle = %d", label, count, stats.Paths, len(want))
 			}
-			if stats.Paths != count {
-				t.Errorf("%s: stats.Paths = %d, count = %d", name, stats.Paths, count)
+			if stats.Truncated != wantStats.Truncated {
+				t.Fatalf("%s: Truncated = %v, oracle = %v", label, stats.Truncated, wantStats.Truncated)
 			}
-			if opts.MaxPaths > 0 && count == opts.MaxPaths && !stats.Truncated {
-				t.Errorf("%s: truncation not reported", name)
+			// Counting walks exactly the search AllPaths walks.
+			_, enumStats, _ := c.AllPaths(src, dst, opts)
+			if stats != enumStats {
+				t.Fatalf("%s: count stats %+v, enumeration stats %+v", label, stats, enumStats)
+			}
+			if len(want) == 0 {
+				continue
+			}
+			// One below the true count trips the hard limit, the count
+			// itself passes.
+			hard := opts
+			hard.HardMaxPaths = len(want) - 1
+			if opts.MaxPaths > 0 || hard.HardMaxPaths == 0 {
+				continue // truncation, or a limit of 0 that disables the check
+			}
+			if _, _, err := c.CountPaths(src, dst, hard); err == nil {
+				t.Fatalf("%s: hard limit %d passed", label, hard.HardMaxPaths)
+			} else if le, ok := AsLimitError(err); !ok || le.Limit != hard.HardMaxPaths {
+				t.Fatalf("%s: error %v is not the hard-limit LimitError", label, err)
+			}
+			hard.HardMaxPaths = len(want)
+			if got, _, err := c.CountPaths(src, dst, hard); err != nil || got != len(want) {
+				t.Fatalf("%s: at the limit: count %d, %v", label, got, err)
 			}
 		}
 	}
 }
 
 func TestCountPathsValidation(t *testing.T) {
-	g := diamond(t)
-	if _, _, err := CountPaths(g, "ghost", "d", Options{}); err == nil {
+	c := Compile(diamond(t))
+	if _, _, err := c.CountPaths("ghost", "d", Options{}); err == nil {
 		t.Error("unknown endpoint should fail")
 	}
-	if _, _, err := CountPaths(g, "a", "a", Options{}); err == nil {
+	if _, _, err := c.CountPaths("a", "a", Options{}); err == nil {
 		t.Error("identical endpoints should fail")
 	}
-	n, _, err := CountPaths(g, "a", "d", Options{})
+	n, _, err := c.CountPaths("a", "d", Options{})
 	if err != nil || n != 2 {
 		t.Errorf("diamond count = %d, %v", n, err)
 	}
 }
 
+// TestCountPathsAllocs shows that counting stores no paths: once the
+// scratch pool is warm, counting the 1957 paths of an 8-node mesh allocates
+// nothing (the average stays below one object per run even if a GC empties
+// the pool mid-measurement), while enumerating them allocates the path
+// arenas.
+func TestCountPathsAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	g, err := topology.Mesh(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Compile(g)
+	if n, _, err := c.CountPaths("n0", "n7", Options{}); err != nil || n != 1957 {
+		t.Fatalf("warm-up count = %d, %v", n, err)
+	}
+	count := testing.AllocsPerRun(50, func() {
+		if _, _, err := c.CountPaths("n0", "n7", Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if count >= 1 {
+		t.Errorf("CountPaths allocates %.1f objects/op, want 0 (no path storage)", count)
+	}
+	enum := testing.AllocsPerRun(10, func() {
+		if _, _, err := c.AllPaths("n0", "n7", Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if enum < 3 {
+		t.Errorf("AllPaths allocates %.1f objects/op; the fixture no longer exercises path storage", enum)
+	}
+}
+
 func TestNodeVisitsAndMetrics(t *testing.T) {
-	g := diamond(t)
-	paths, stats, err := AllPaths(g, "a", "d", Options{})
+	c := Compile(diamond(t))
+	paths, stats, err := c.AllPaths("a", "d", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,66 +495,59 @@ func TestNodeVisitsAndMetrics(t *testing.T) {
 	if stats.NodeVisits != stats.EdgeVisits+1 {
 		t.Errorf("NodeVisits = %d, EdgeVisits = %d", stats.NodeVisits, stats.EdgeVisits)
 	}
-	// Every variant reports NodeVisits.
-	if _, s, err := AllPathsIterative(g, "a", "d", Options{}); err != nil || s.NodeVisits == 0 {
-		t.Errorf("iterative NodeVisits = %d, err = %v", s.NodeVisits, err)
+	if _, s, err := c.CountPaths("a", "d", Options{}); err != nil || s.NodeVisits != s.EdgeVisits+1 {
+		t.Errorf("count NodeVisits = %d (edges %d), err = %v", s.NodeVisits, s.EdgeVisits, err)
 	}
-	if _, s, err := AllPathsParallel(g, "a", "d", Options{}, 2); err != nil || s.NodeVisits != s.EdgeVisits+1 {
-		t.Errorf("parallel NodeVisits = %d (edges %d), err = %v", s.NodeVisits, s.EdgeVisits, err)
-	}
-	if _, s, err := CountPaths(g, "a", "d", Options{}); err != nil || s.NodeVisits == 0 {
-		t.Errorf("count NodeVisits = %d, err = %v", s.NodeVisits, err)
-	}
-	// The enumerations above were observed into the per-algorithm
-	// histograms of the default registry.
-	before := mNodesVisited.With("recursive-dfs").Count()
-	if _, _, err := AllPaths(g, "a", "d", Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if after := mNodesVisited.With("recursive-dfs").Count(); after != before+1 {
-		t.Errorf("nodes_visited observations %d -> %d, want +1", before, after)
-	}
-	if mTruncated.With("recursive-dfs").Value() == 0 {
-		if _, s, err := AllPaths(g, "a", "d", Options{MaxPaths: 1}); err != nil || !s.Truncated {
-			t.Fatalf("truncation fixture failed: %+v, %v", s, err)
+	// Every search is observed into the per-mode histograms of the default
+	// registry.
+	for mode, run := range map[string]func() error{
+		"csr-dfs":   func() error { _, _, err := c.AllPaths("a", "d", Options{}); return err },
+		"csr-count": func() error { _, _, err := c.CountPaths("a", "d", Options{}); return err },
+	} {
+		before := mNodesVisited.With(mode).Count()
+		if err := run(); err != nil {
+			t.Fatal(err)
 		}
-		if mTruncated.With("recursive-dfs").Value() == 0 {
-			t.Error("truncated counter not incremented")
+		if after := mNodesVisited.With(mode).Count(); after != before+1 {
+			t.Errorf("%s: nodes_visited observations %d -> %d, want +1", mode, before, after)
 		}
+	}
+	before := mTruncated.With("csr-dfs").Value()
+	if _, s, err := c.AllPaths("a", "d", Options{MaxPaths: 1}); err != nil || !s.Truncated {
+		t.Fatalf("truncation fixture failed: %+v, %v", s, err)
+	}
+	if mTruncated.With("csr-dfs").Value() != before+1 {
+		t.Error("truncated counter not incremented")
 	}
 }
 
-// BenchmarkAllPathsInstrumented measures the instrumented recursive DFS on
-// a dense fixture; compare against the seed's BenchmarkAllPaths numbers to
-// verify the metrics overhead stays under 5% (one histogram observation per
-// enumeration — amortised over the whole search).
+// BenchmarkAllPathsInstrumented measures the instrumented kernel on a dense
+// fixture; the metrics cost one histogram observation per enumeration,
+// amortised over the whole search.
 func BenchmarkAllPathsInstrumented(b *testing.B) {
 	g, err := topology.Mesh(8)
 	if err != nil {
 		b.Fatal(err)
 	}
+	c := Compile(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := AllPaths(g, "n0", "n7", Options{}); err != nil {
+		if _, _, err := c.AllPaths("n0", "n7", Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestHardMaxPaths pins the hard-limit contract across every enumeration
-// variant: the diamond holds two simple paths, so a hard limit of 1 must
-// abort with a *LimitError while a limit of 2 passes untouched.
+// TestHardMaxPaths pins the hard-limit contract of the kernel and the
+// oracle alike: the diamond holds two simple paths, so a hard limit of 1
+// must abort with a *LimitError while a limit of 2 passes untouched.
 func TestHardMaxPaths(t *testing.T) {
 	g := diamond(t)
 	c := Compile(g)
 	variants := map[string]func(Options) ([]Path, Stats, error){
 		"recursive": func(o Options) ([]Path, Stats, error) { return AllPaths(g, "a", "d", o) },
-		"iterative": func(o Options) ([]Path, Stats, error) { return AllPathsIterative(g, "a", "d", o) },
-		"parallel":  func(o Options) ([]Path, Stats, error) { return AllPathsParallel(g, "a", "d", o, 2) },
 		"csr":       func(o Options) ([]Path, Stats, error) { return c.AllPaths("a", "d", o) },
-		"csr-iter":  func(o Options) ([]Path, Stats, error) { return c.AllPathsIterative("a", "d", o) },
-		"csr-par":   func(o Options) ([]Path, Stats, error) { return c.AllPathsParallel("a", "d", o, 2) },
 	}
 	for name, run := range variants {
 		t.Run(name, func(t *testing.T) {
@@ -528,7 +573,7 @@ func TestHardMaxPaths(t *testing.T) {
 		})
 	}
 	// Counting honours the limit too.
-	if _, _, err := CountPaths(g, "a", "d", Options{HardMaxPaths: 1}); err == nil {
+	if _, _, err := c.CountPaths("a", "d", Options{HardMaxPaths: 1}); err == nil {
 		t.Fatal("CountPaths ignored the hard limit")
 	}
 }

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"upsim/internal/casestudy"
@@ -104,6 +106,57 @@ func TestPathsRanked(t *testing.T) {
 	})
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("unknown metric status = %d, want 400: %s", w.Code, w.Body.String())
+	}
+}
+
+// TestPathsRejectNegativeKnobs pins that a negative k, maxDepth or
+// maxPaths is refused on every surface that shares computePaths: a 400 on
+// POST and GET /api/v1/paths, a per-item error in a batch. Left through, the
+// kernel would read them as "unbounded" — k=-1 turning a ranked request
+// into a full enumeration.
+func TestPathsRejectNegativeKnobs(t *testing.T) {
+	modelXML, _ := warmFixture(t)
+	h := New()
+	for _, knob := range []string{"k", "maxDepth", "maxPaths"} {
+		t.Run(knob, func(t *testing.T) {
+			want := knob + " must not be negative"
+
+			w := postPaths(t, h, map[string]any{
+				"modelXml": modelXML, "diagram": casestudy.DiagramName,
+				"from": "t1", "to": "printS", knob: -1,
+			})
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), want) {
+				t.Errorf("POST status = %d, body %s; want 400 %q", w.Code, w.Body.String(), want)
+			}
+
+			r := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/api/v1/paths?from=t1&to=printS&%s=-1", knob), nil)
+			w = httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), want) {
+				t.Errorf("GET status = %d, body %s; want 400 %q", w.Code, w.Body.String(), want)
+			}
+
+			body, err := json.Marshal(map[string]any{"items": []map[string]any{{
+				"op": "paths", "modelXml": modelXML, "diagram": casestudy.DiagramName,
+				"from": "t1", "to": "printS", knob: -1,
+			}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r = httptest.NewRequest(http.MethodPost, "/api/v1/batch", bytes.NewReader(body))
+			w = httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			if w.Code != http.StatusOK {
+				t.Fatalf("batch status = %d: %s", w.Code, w.Body.String())
+			}
+			var out BatchResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
+				t.Fatal(err)
+			}
+			if out.Errors != 1 || len(out.Results) != 1 || !strings.Contains(out.Results[0].Error, want) {
+				t.Errorf("batch = %s; want one item error %q", w.Body.String(), want)
+			}
+		})
 	}
 }
 

@@ -431,8 +431,19 @@ func pathsBudgetResponse(le *pathdisc.LimitError) *budgetErrorResponse {
 // the object diagram the generator was built from (needed to join link
 // stereotypes onto ranked results). Shared by the POST route (model in the
 // body), the GET route (built-in case-study model) and the batch "paths"
-// op; budget overflows surface as *pathdisc.LimitError.
+// op; budget overflows surface as *pathdisc.LimitError. Negative knobs are
+// rejected: the kernel reads k <= 0 as "enumerate everything" and a
+// non-positive bound as "unbounded", so k=-1 would otherwise silently turn a
+// ranked request into a full enumeration.
 func computePaths(gen *core.Generator, diagram string, req *pathsRequest) (*pathsResponse, error) {
+	for _, knob := range []struct {
+		name string
+		v    int
+	}{{"k", req.K}, {"maxDepth", req.MaxDepth}, {"maxPaths", req.MaxPaths}} {
+		if knob.v < 0 {
+			return nil, fmt.Errorf("%s must not be negative (got %d)", knob.name, knob.v)
+		}
+	}
 	metric, err := pathdisc.ParseCostMetric(req.Cost)
 	if err != nil {
 		return nil, err

@@ -157,18 +157,20 @@ const DefaultCacheSize = cache.DefaultMaxEntries
 func NewCache(maxEntries int) *Cache { return cache.New(maxEntries) }
 
 // AllPaths enumerates all simple paths between two components of a topology
-// graph using the paper's DFS with path tracking.
+// graph using the paper's DFS with path tracking. It compiles g on every
+// call; callers that search the same topology repeatedly should Compile
+// once (or use Generator.Compiled) and call CompiledGraph.AllPaths.
 func AllPaths(g *Graph, from, to string, opts PathOptions) ([]Path, PathStats, error) {
-	return pathdisc.AllPaths(g, from, to, opts)
+	return pathdisc.Compile(g).AllPaths(from, to, opts)
 }
 
 // CompiledGraph is a topology lowered into a CSR (compressed sparse row)
-// integer-indexed form by Compile. Its enumeration methods (AllPaths,
-// AllPathsIterative, AllPathsParallel) return exactly the same path sets as
-// the package-level functions but skip the per-call map allocations and
-// prune expansions that cannot reach the provider. A CompiledGraph is
-// immutable and safe for concurrent use; Generators compile their
-// infrastructure graph automatically (Generator.Compiled).
+// integer-indexed form by Compile: the path-discovery kernel. AllPaths
+// enumerates, CountPaths counts without storing, and KShortest ranks; all
+// three skip per-call map allocations and prune expansions that cannot
+// reach the provider. A CompiledGraph is immutable and safe for concurrent
+// use; Generators compile their infrastructure graph automatically
+// (Generator.Compiled).
 type CompiledGraph = pathdisc.Compiled
 
 // Compile lowers a topology graph into its CSR form once, so that repeated
@@ -177,9 +179,10 @@ type CompiledGraph = pathdisc.Compiled
 func Compile(g *Graph) *CompiledGraph { return pathdisc.Compile(g) }
 
 // CountPaths counts all simple paths without storing them — the memory-safe
-// choice for the dense-graph scalability studies.
+// choice for the dense-graph scalability studies. Like AllPaths it compiles
+// g on every call.
 func CountPaths(g *Graph, from, to string, opts PathOptions) (int, PathStats, error) {
-	return pathdisc.CountPaths(g, from, to, opts)
+	return pathdisc.Compile(g).CountPaths(from, to, opts)
 }
 
 // UPSIMDiff describes how the user-perceived infrastructure changes between
@@ -294,13 +297,8 @@ type (
 	FTNode = depend.FTNode
 )
 
-// Algorithm and merge-semantics selectors for Options.
+// Merge-semantics selectors for Options.
 const (
-	AlgoRecursive = core.AlgoRecursive
-	AlgoIterative = core.AlgoIterative
-	AlgoParallel  = core.AlgoParallel
-	AlgoShortest  = core.AlgoShortest
-
 	MergeInduced   = core.MergeInduced
 	MergeTraversed = core.MergeTraversed
 )
